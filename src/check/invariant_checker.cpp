@@ -29,8 +29,13 @@ invariantName(Invariant inv)
 std::string
 Violation::toString() const
 {
-    return "[" + when.toString() + "] " + invariantName(inv) + ": "
-        + detail;
+    std::string out = "[";
+    out += when.toString();
+    out += "] ";
+    out += invariantName(inv);
+    out += ": ";
+    out += detail;
+    return out;
 }
 
 InvariantChecker::InvariantChecker(sim::EventQueue &eq) : eq_(eq)

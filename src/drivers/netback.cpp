@@ -98,31 +98,49 @@ NetbackDriver::irqBottom()
     // here once let bucket layout pick the kthread submission order,
     // which leaks into the event schedule and the determinism digest).
     // A batch reaches a handful of guests at most, so the linear key
-    // scan beats hashing anyway.
-    std::vector<std::pair<std::uint64_t, std::vector<nic::Packet>>>
-        by_guest;
+    // scan beats hashing anyway. The grouping vector is a member and
+    // the per-guest packet vectors come from a spare list, so a
+    // steady-state batch allocates nothing.
     for (const auto &c : pending_) {
         ring.post(c.buffer_gpa);
         std::vector<nic::Packet> *pkts = nullptr;
-        for (auto &e : by_guest)
+        for (auto &e : by_guest_)
             if (e.first == c.pkt.dst.value) {
                 pkts = &e.second;
                 break;
             }
         if (pkts == nullptr) {
-            by_guest.emplace_back(c.pkt.dst.value,
-                                  std::vector<nic::Packet>());
-            pkts = &by_guest.back().second;
+            by_guest_.emplace_back(c.pkt.dst.value, takeSpare());
+            pkts = &by_guest_.back().second;
         }
         pkts->push_back(c.pkt);
     }
     pending_.clear();
-    for (auto &[mac, pkts] : by_guest) {
+    for (auto &[mac, pkts] : by_guest_) {
         GuestCtx *g = guestByMac(nic::MacAddr{mac});
-        if (!g)
-            continue;    // not bridged (e.g. dom0's own traffic)
-        deliverToGuest(*g, std::move(pkts));
+        if (g)
+            deliverToGuest(*g, std::move(pkts));
+        else    // not bridged (e.g. dom0's own traffic)
+            recycle(std::move(pkts));
     }
+    by_guest_.clear();
+}
+
+std::vector<nic::Packet>
+NetbackDriver::takeSpare()
+{
+    if (spare_pkts_.empty())
+        return {};
+    std::vector<nic::Packet> v = std::move(spare_pkts_.back());
+    spare_pkts_.pop_back();
+    return v;
+}
+
+void
+NetbackDriver::recycle(std::vector<nic::Packet> &&pkts)
+{
+    pkts.clear();
+    spare_pkts_.push_back(std::move(pkts));
 }
 
 double
@@ -152,6 +170,7 @@ NetbackDriver::deliverToGuest(GuestCtx &g, std::vector<nic::Packet> &&pkts)
     if (cpu.queueDepth() > cfg_.worker_queue_cap) {
         backlog_drops_.inc(pkts.size());
         sim::fluidTransitionAll(sim::FluidTransition::Drop);
+        recycle(std::move(pkts));
         return;
     }
     const auto &cm = kern_.hv().costs();
@@ -177,6 +196,7 @@ NetbackDriver::deliverToGuest(GuestCtx &g, std::vector<nic::Packet> &&pkts)
                    }
                    to_guests_.inc(pkts.size());
                    nf->backendDeliver(pkts);
+                   recycle(std::move(pkts));
                    nf->raiseRxIrq(cpu);
                });
 }

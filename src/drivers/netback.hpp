@@ -17,6 +17,8 @@
 #define SRIOV_DRIVERS_NETBACK_HPP
 
 #include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "drivers/netfront.hpp"
 #include "nic/sriov_nic.hpp"
@@ -91,12 +93,20 @@ class NetbackDriver : public guest::GuestKernel::IrqClient
     double perPacketCost(NetfrontDriver &nf);
     /** Copy a batch into @p guest and notify it. */
     void deliverToGuest(GuestCtx &g, std::vector<nic::Packet> &&pkts);
+    /** An empty packet vector, reusing a recycled one's capacity. */
+    std::vector<nic::Packet> takeSpare();
+    /** Return a delivered or dropped batch's vector to the spares. */
+    void recycle(std::vector<nic::Packet> &&pkts);
 
     guest::GuestKernel &kern_;
     Config cfg_;
     nic::NicPort *nic_ = nullptr;
     std::unordered_map<std::uint64_t, GuestCtx> guests_;    // mac -> ctx
     std::vector<nic::RxCompletion> pending_;
+    /** irqBottom()'s per-guest grouping, kept for its capacity. */
+    std::vector<std::pair<std::uint64_t, std::vector<nic::Packet>>>
+        by_guest_;
+    std::vector<std::vector<nic::Packet>> spare_pkts_;
     sim::Counter copies_;
     sim::Counter backlog_drops_;
     sim::Counter to_wire_;

@@ -42,8 +42,9 @@ EventQueue::allocSlot()
         free_head_ = slotRef(idx).next_free;
         return idx;
     }
-    if (slot_count_ == EventHandle::kNone)
-        panic("event queue slot store overflow");
+    if (slot_count_ == kMaxSlots)
+        fatal("event queue: %u live events, the most a 16-byte heap key "
+              "can address", kMaxSlots);
     if ((slot_count_ & kSlotChunkMask) == 0)
         // Default-init, not make_unique's value-init: the latter
         // zeroes every slot's 80-byte capture buffer (28 KiB per
@@ -67,13 +68,14 @@ void
 EventQueue::heapPush(HeapKey k)
 {
     // Percolate a hole up instead of swapping: each level is one
-    // 24-byte copy. Scheduling in time order (the common pattern)
+    // 16-byte copy. Scheduling in time order (the common pattern)
     // terminates at the leaf immediately.
     heap_.push_back(k);
+    const u128 kb = keyBits(k);
     std::size_t i = heap_.size() - 1;
     while (i > 0) {
         std::size_t p = (i - 1) >> 2;
-        if (!keyBefore(k, heap_[p]))
+        if (!(kb < keyBits(heap_[p])))
             break;
         heap_[i] = heap_[p];
         i = p;
@@ -82,39 +84,63 @@ EventQueue::heapPush(HeapKey k)
 }
 
 void
-EventQueue::heapRemoveTop()
+EventQueue::siftDown(std::size_t i, HeapKey k)
 {
     // 4-ary sift-down: half the levels of a binary heap and all four
-    // children share a pair of cache lines, which is where the pop
-    // cost lives for the multi-thousand-event heaps of the scale runs.
-    HeapKey last = heap_.back();
-    heap_.pop_back();
-    std::size_t n = heap_.size();
-    if (n == 0)
-        return;
-    std::size_t i = 0;
+    // children share a pair of cache lines. The heap is small (about
+    // a hundred keys on the scale runs), so the cost is not memory but
+    // branches: many events share an instant, so whether two due
+    // times tie is a coin flip, and a (when, then seq) comparison that
+    // jumps on it mispredicts at every level. The full fan-out case
+    // compares whole 128-bit keys instead: min(c, c+1) and
+    // min(c+2, c+3), then the smaller of those, all with conditional
+    // moves; only the "keep sifting" test is a branch.
+    HeapKey *h = heap_.data();
+    const std::size_t n = heap_.size();
+    const u128 kb = keyBits(k);
     for (;;) {
         std::size_t c = 4 * i + 1;
-        if (c >= n)
-            break;
-        std::size_t m = c;
+        std::size_t m;
+        u128 mb;
         if (c + 4 <= n) {
-            // Full fan-out (the common case on a large heap): an
-            // unrolled min-of-four keeps the scan branch-predictable.
-            if (keyBefore(heap_[c + 1], heap_[m])) m = c + 1;
-            if (keyBefore(heap_[c + 2], heap_[m])) m = c + 2;
-            if (keyBefore(heap_[c + 3], heap_[m])) m = c + 3;
+            u128 b0 = keyBits(h[c]), b1 = keyBits(h[c + 1]);
+            u128 b2 = keyBits(h[c + 2]), b3 = keyBits(h[c + 3]);
+            bool lo = b1 < b0, hi = b3 < b2;
+            u128 m01 = lo ? b1 : b0, m23 = hi ? b3 : b2;
+            std::size_t i01 = c + lo, i23 = c + 2 + hi;
+            bool right = m23 < m01;
+            mb = right ? m23 : m01;
+            // A mask, not a ternary: GCC turns the latter into a jump.
+            m = i01 ^ ((i01 ^ i23) & -std::size_t(right));
+        } else if (c < n) {
+            m = c;
+            mb = keyBits(h[c]);
+            for (std::size_t j = c + 1; j < n; ++j) {
+                u128 b = keyBits(h[j]);
+                bool lt = b < mb;
+                mb = lt ? b : mb;
+                m = lt ? j : m;
+            }
         } else {
-            for (std::size_t j = c + 1; j < n; ++j)
-                if (keyBefore(heap_[j], heap_[m]))
-                    m = j;
-        }
-        if (!keyBefore(heap_[m], last))
             break;
-        heap_[i] = heap_[m];
+        }
+        if (!(mb < kb))
+            break;
+        // Store the selected value, not a reload of h[m]: the load
+        // would wait on the index select.
+        h[i] = HeapKey{std::uint64_t(mb >> 64), std::uint64_t(mb)};
         i = m;
     }
-    heap_[i] = last;
+    h[i] = k;
+}
+
+void
+EventQueue::heapRemoveTop()
+{
+    HeapKey last = heap_.back();
+    heap_.pop_back();
+    if (!heap_.empty())
+        siftDown(0, last);
 }
 
 EventQueue::PreparedEvent
@@ -127,12 +153,16 @@ EventQueue::prepareEvent(Time when, const char *tag)
         observer_->onSchedulePast(when, now_);
         when = now_;
     }
+    if (next_seq_ == kMaxSeq)
+        fatal("event queue: %llu events scheduled, the most a 16-byte "
+              "heap key can order",
+              static_cast<unsigned long long>(kMaxSeq - 1));
     std::uint64_t seq = next_seq_++;
     std::uint32_t idx = allocSlot();
     Slot &s = slotRef(idx);
     s.tag = tag;
     s.state = Slot::State::Pending;
-    heapPush(HeapKey{when, seq, idx});
+    heapPush(makeKey(when, seq, idx));
     ++live_events_;
     return PreparedEvent{&s, EventHandle(idx, s.gen)};
 }
@@ -164,7 +194,7 @@ EventQueue::purgeCancelledTop()
     if (cancelled_pending_ == 0)
         return;
     while (!heap_.empty()) {
-        std::uint32_t idx = heap_[0].slot;
+        std::uint32_t idx = keySlot(heap_[0]);
         Slot &s = slotRef(idx);
         if (s.state != Slot::State::Cancelled)
             break;
@@ -234,33 +264,35 @@ EventQueue::foldDigest(Time when, std::uint64_t seq, const char *tag)
 void
 EventQueue::executeTop()
 {
-    HeapKey k = heap_[0];
+    const Time when = keyTime(heap_[0]);
+    const std::uint64_t seq = keySeq(heap_[0]);
+    const std::uint32_t idx = keySlot(heap_[0]);
     heapRemoveTop();
     // Chunked slot storage never relocates, so the callback runs in
     // place — no per-event move even when it schedules more events.
     // Running state makes a self-cancel from inside the callback a
     // no-op (the event has already fired).
-    Slot &s = slotRef(k.slot);
+    Slot &s = slotRef(idx);
     const char *tag = s.tag;
     s.state = Slot::State::Running;
     --live_events_;
     if (observer_ != nullptr)
-        observer_->onExecute(k.when, now_, k.seq, tag);
-    now_ = k.when;
+        observer_->onExecute(when, now_, seq, tag);
+    now_ = when;
     ++executed_;
-    foldDigest(k.when, k.seq, tag);
+    foldDigest(when, seq, tag);
     if (!exec_hooks_.empty()) {
         // Iterate by index: the callback (or a hook) may add or remove
         // hooks mid-event, e.g. a tracer detaching at a record limit.
         for (std::size_t i = 0; i < exec_hooks_.size(); ++i)
-            exec_hooks_[i]->onEventStart(k.when, k.seq, tag);
+            exec_hooks_[i]->onEventStart(when, seq, tag);
         s.fn();
         for (std::size_t i = 0; i < exec_hooks_.size(); ++i)
-            exec_hooks_[i]->onEventEnd(k.when, k.seq, tag);
+            exec_hooks_[i]->onEventEnd(when, seq, tag);
     } else {
         s.fn();
     }
-    freeSlot(s, k.slot);
+    freeSlot(s, idx);
 }
 
 std::uint64_t
@@ -273,7 +305,7 @@ EventQueue::runUntil(Time deadline)
     run_deadline_ = deadline;
     std::uint64_t n = 0;
     for (purgeCancelledTop();
-         !heap_.empty() && heap_[0].when <= deadline;
+         !heap_.empty() && keyTime(heap_[0]) <= deadline;
          purgeCancelledTop()) {
         executeTop();
         ++n;
@@ -291,10 +323,10 @@ EventQueue::snapshotPending(std::vector<PendingEvent> &out) const
     out.reserve(heap_.size());
     for (std::uint32_t i = 0; i < heap_.size(); ++i) {
         const HeapKey &k = heap_[i];
-        const Slot &s = slotRef(k.slot);
+        const Slot &s = slotRef(keySlot(k));
         if (s.state != Slot::State::Pending)
             continue;
-        out.push_back(PendingEvent{k.when, k.seq, s.tag, i});
+        out.push_back(PendingEvent{keyTime(k), keySeq(k), s.tag, i});
     }
 }
 
@@ -304,25 +336,8 @@ EventQueue::heapRebuild()
     // Bottom-up 4-ary heapify; cold path (once per fluid warp).
     if (heap_.size() < 2)
         return;
-    for (std::size_t r = (heap_.size() - 2) / 4 + 1; r-- > 0;) {
-        HeapKey k = heap_[r];
-        std::size_t i = r;
-        std::size_t n = heap_.size();
-        for (;;) {
-            std::size_t c = 4 * i + 1;
-            if (c >= n)
-                break;
-            std::size_t m = c;
-            for (std::size_t j = c + 1; j < n && j < c + 4; ++j)
-                if (keyBefore(heap_[j], heap_[m]))
-                    m = j;
-            if (!keyBefore(heap_[m], k))
-                break;
-            heap_[i] = heap_[m];
-            i = m;
-        }
-        heap_[i] = k;
-    }
+    for (std::size_t r = (heap_.size() - 2) / 4 + 1; r-- > 0;)
+        siftDown(r, heap_[r]);
 }
 
 void
@@ -334,13 +349,16 @@ EventQueue::fluidWarp(Time delta,
     for (std::uint32_t idx : shift_keys) {
         if (idx >= heap_.size())
             panic("fluid warp: stale heap index");
-        heap_[idx].when += delta;
+        // Biased unsigned addition wraps exactly like signed picos.
+        heap_[idx].when += std::uint64_t(delta.picos());
     }
     now_ += delta;
     heapRebuild();
-    if (!heap_.empty() && heap_[0].when < now_)
+    // A cancelled key left behind is dead, not an event in the past.
+    purgeCancelledTop();
+    if (!heap_.empty() && keyTime(heap_[0]) < now_)
         panic("fluid warp left an absolute event in the past: %s < %s",
-              heap_[0].when.toString().c_str(),
+              keyTime(heap_[0]).toString().c_str(),
               now_.toString().c_str());
 }
 
@@ -348,7 +366,7 @@ Time
 EventQueue::nextEventTime()
 {
     purgeCancelledTop();
-    return heap_.empty() ? Time::max() : heap_[0].when;
+    return heap_.empty() ? Time::max() : keyTime(heap_[0]);
 }
 
 std::uint64_t
@@ -356,7 +374,7 @@ EventQueue::runBefore(Time bound)
 {
     std::uint64_t n = 0;
     for (purgeCancelledTop();
-         !heap_.empty() && heap_[0].when < bound;
+         !heap_.empty() && keyTime(heap_[0]) < bound;
          purgeCancelledTop()) {
         executeTop();
         ++n;

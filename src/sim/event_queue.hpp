@@ -11,9 +11,11 @@
  *  - callbacks are sim::InplaceFn — captures up to 80 bytes live
  *    inline, so the schedule→execute path performs zero heap
  *    allocations for every per-packet and per-CPU event;
- *  - a 4-ary min-heap sifts 24-byte POD keys (when, seq, slot) while
- *    the callback/tag live in a generation-tagged slot map, so heap
- *    percolation never moves a callback;
+ *  - a 4-ary min-heap sifts 16-byte POD keys {when, seq << 24 | slot}
+ *    compared as one unsigned 128-bit integer, while the callback/tag
+ *    live in a generation-tagged slot map, so heap percolation never
+ *    moves a callback; the sift-down picks the minimum child with
+ *    conditional moves instead of data-dependent jumps;
  *  - slots live in fixed-size chunks whose addresses never change, so
  *    the callback is invoked in place — no per-event move of the
  *    capture, and no slot relocation when the store grows mid-event;
@@ -286,28 +288,62 @@ class EventQueue
     /** @} */
 
   private:
+    friend struct EventQueueTestPeer;
+
+    __extension__ typedef unsigned __int128 u128;
+
     /**
-     * What the heap actually sifts: a 24-byte POD. The payload
+     * What the heap actually sifts: a 16-byte POD. The payload
      * (callback, tag) stays put in the slot store, so percolation is
-     * three word moves instead of a std::function relocation.
+     * two word moves instead of a std::function relocation.
      *
-     * Keys are totally ordered — seq is unique — so any min-heap shape
-     * pops the exact same sequence; the heap arity is a pure
-     * performance choice and cannot affect the order digest.
+     *  - when: the due time in picoseconds, biased by 2^63 so unsigned
+     *    order equals signed Time order;
+     *  - ord:  seq << kSlotBits | slot. seq is unique, so comparing
+     *    ord compares seq and the slot bits never decide anything.
+     *
+     * (when << 64 | ord) as an unsigned 128-bit integer is therefore
+     * the (when, seq) order: one cmp/sbb pair per comparison, which
+     * the sift-down turns into conditional moves. Keys are totally
+     * ordered, so any min-heap shape pops the exact same sequence;
+     * the heap arity is a pure performance choice and cannot affect
+     * the order digest.
      */
     struct HeapKey
     {
-        Time when;
-        std::uint64_t seq;
-        std::uint32_t slot;
+        std::uint64_t when;
+        std::uint64_t ord;
     };
 
-    /** Min-first comparison: earlier time, then FIFO by seq. */
-    static bool
-    keyBefore(const HeapKey &a, const HeapKey &b)
+    /** Low bits of HeapKey::ord hold the slot; limits live slots. */
+    static constexpr unsigned kSlotBits = 24;
+    static constexpr std::uint32_t kMaxSlots = 1u << kSlotBits;
+    /** seq takes the remaining 40 bits of ord. */
+    static constexpr std::uint64_t kMaxSeq = std::uint64_t(1)
+                                             << (64 - kSlotBits);
+    static constexpr std::uint64_t kTimeBias = std::uint64_t(1) << 63;
+
+    static HeapKey
+    makeKey(Time when, std::uint64_t seq, std::uint32_t slot)
     {
-        if (a.when != b.when) return a.when < b.when;
-        return a.seq < b.seq;
+        return HeapKey{std::uint64_t(when.picos()) ^ kTimeBias,
+                       seq << kSlotBits | slot};
+    }
+    static u128
+    keyBits(const HeapKey &k)
+    {
+        return u128(k.when) << 64 | k.ord;
+    }
+    static Time
+    keyTime(const HeapKey &k)
+    {
+        return Time::ps(std::int64_t(k.when ^ kTimeBias));
+    }
+    static std::uint64_t keySeq(const HeapKey &k) { return k.ord >> kSlotBits; }
+    static std::uint32_t
+    keySlot(const HeapKey &k)
+    {
+        return std::uint32_t(k.ord) & (kMaxSlots - 1);
     }
 
     /**
@@ -377,6 +413,8 @@ class EventQueue
     void freeSlot(Slot &s, std::uint32_t idx);
     void heapPush(HeapKey k);
     void heapRemoveTop();
+    /** Sift @p k down from the hole at @p i (heap size heap_.size()). */
+    void siftDown(std::size_t i, HeapKey k);
     /** Full heapify after fluidWarp()'s selective key shift. */
     void heapRebuild();
     /** Pop-and-free every cancelled key at the heap top. */

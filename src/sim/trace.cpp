@@ -102,9 +102,13 @@ Tracer::toString() const
 {
     std::string out;
     for (const auto &r : records_) {
-        out += "[" + r.when.toString() + "] ";
+        out += '[';
+        out += r.when.toString();
+        out += "] ";
         out += traceCatName(r.cat);
-        out += ": " + r.text + "\n";
+        out += ": ";
+        out += r.text;
+        out += '\n';
     }
     return out;
 }

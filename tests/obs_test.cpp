@@ -349,7 +349,8 @@ TEST(ChromeTrace, DropsAtCapacityKeepingOldest)
     ChromeTraceWriter w(/*max_events=*/3);
     auto tr = w.track("p", "t");
     for (int i = 0; i < 5; ++i)
-        w.addInstant(tr, "e" + std::to_string(i), sim::Time::us(i));
+        w.addInstant(tr, std::string("e").append(std::to_string(i)),
+                     sim::Time::us(i));
     EXPECT_EQ(w.eventCount(), 3u);
     EXPECT_EQ(w.droppedEvents(), 2u);
     auto doc = JsonValue::parse(w.toJson());

@@ -6,9 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <iterator>
+#include <map>
 #include <memory>
+#include <set>
 #include <utility>
 #include <vector>
 
@@ -23,6 +26,29 @@
 #include "sim/trace.hpp"
 
 using namespace sriov::sim;
+
+namespace sriov::sim {
+
+/** Test-only seam into EventQueue's 16-byte heap key limits. */
+struct EventQueueTestPeer
+{
+    static std::uint64_t maxSeq() { return EventQueue::kMaxSeq; }
+    static std::uint32_t maxSlots() { return EventQueue::kMaxSlots; }
+    static void
+    setNextSeq(EventQueue &eq, std::uint64_t seq)
+    {
+        eq.next_seq_ = seq;
+    }
+    /** Pretend @p n slots exist; only safe when the next allocation
+     *  is expected to die. */
+    static void
+    setSlotCount(EventQueue &eq, std::uint32_t n)
+    {
+        eq.slot_count_ = n;
+    }
+};
+
+} // namespace sriov::sim
 
 TEST(Time, UnitConstructorsAgree)
 {
@@ -799,6 +825,263 @@ TEST(EventQueue, DigestHashesTagContentNotPointer)
         return eq.orderDigest();
     };
     EXPECT_EQ(run(tag_a), run(tag_b));
+}
+
+// ---------------------------------------------------------------------------
+// Differential event core: the heap against a reference ordered set.
+
+namespace {
+
+/**
+ * Drives an EventQueue with seeded random schedule / cancel /
+ * self-cancel / same-instant ties / fluidWarp shifts, and mirrors
+ * every operation on a std::set of (when, seq): the queue must pop
+ * exactly the set's minimum each time, and its order digest must be
+ * the FNV-1a of that sequence.
+ */
+class DifferentialCore
+{
+  public:
+    explicit DifferentialCore(std::uint64_t seed) : rng_(seed) {}
+
+    void
+    run(std::uint64_t events)
+    {
+        for (int i = 0; i < 64; ++i)
+            schedule(eq_.now() + delay());
+        // Alternate runUntil() slices with top-level scheduling and
+        // cancels, then drain without further actions.
+        while (eq_.executed() < events) {
+            eq_.runUntil(eq_.now() + Time::ns(rng_.uniformInt(1, 400)));
+            if (rng_.uniformInt(0, 3) == 0)
+                schedule(eq_.now() + delay());
+            if (rng_.uniformInt(0, 3) == 0)
+                cancelRandom();
+        }
+        draining_ = true;
+        eq_.runAll();
+    }
+
+    EventQueue eq_;
+    std::vector<std::pair<std::int64_t, std::uint64_t>> expected_;
+    std::vector<std::pair<std::int64_t, std::uint64_t>> actual_;
+    ReferenceDigest ref_digest_;
+    std::uint64_t warps_ = 0;
+    std::uint64_t cancels_ = 0;
+    std::uint64_t ties_ = 0;
+
+  private:
+    static constexpr const char *kTags[] = {"diff.a", "diff.b", ""};
+
+    Time
+    delay()
+    {
+        switch (rng_.uniformInt(0, 5)) {
+        case 0: return Time();    // same instant as now
+        case 1: return Time::ps(std::int64_t(rng_.uniformInt(1, 10)));
+        case 5: return Time::us(std::int64_t(rng_.uniformInt(1, 50)));
+        default: return Time::ns(std::int64_t(rng_.uniformInt(1, 500)));
+        }
+    }
+
+    void
+    schedule(Time when)
+    {
+        // Sometimes tie exactly with an already-pending event.
+        if (!ref_.empty() && rng_.uniformInt(0, 4) == 0) {
+            auto it = std::next(ref_.begin(),
+                                std::ptrdiff_t(rng_.uniformInt(
+                                    0, std::min<std::uint64_t>(
+                                           ref_.size() - 1, 8))));
+            when = Time::ps(it->first);
+            ++ties_;
+        }
+        const std::uint64_t seq = next_seq_++;
+        const char *tag = kTags[rng_.uniformInt(0, 2)];
+        handles_[seq] = eq_.scheduleAt(
+            when, [this, seq]() { fire(seq); }, tag);
+        tags_[seq] = tag;
+        when_of_[seq] = when.picos();
+        ref_.emplace(when.picos(), seq);
+    }
+
+    void
+    cancelRandom()
+    {
+        // Any handle ever issued: stale ones (fired or cancelled)
+        // must be no-ops on both sides.
+        if (handles_.empty())
+            return;
+        auto it = handles_.lower_bound(rng_.uniformInt(1, next_seq_ - 1));
+        if (it == handles_.end())
+            return;
+        EventHandle h = it->second;
+        eq_.cancel(h);
+        if (ref_.erase({when_of_[it->first], it->first}) != 0)
+            ++cancels_;
+    }
+
+    void
+    warp()
+    {
+        // Shift a random subset of pending events and the clock by
+        // one delta, no further than the earliest unshifted event.
+        std::vector<EventQueue::PendingEvent> snap;
+        eq_.snapshotPending(snap);
+        ASSERT_EQ(snap.size(), ref_.size());
+        std::vector<std::uint32_t> keys;
+        std::vector<std::uint64_t> shifted;
+        Time bound = Time::max();
+        for (const auto &e : snap) {
+            ASSERT_EQ(ref_.count({e.when.picos(), e.seq}), 1u);
+            if (rng_.uniformInt(0, 1) == 0) {
+                keys.push_back(e.key_index);
+                shifted.push_back(e.seq);
+            } else {
+                bound = std::min(bound, e.when);
+            }
+        }
+        const std::int64_t room = bound == Time::max()
+            ? 1000000
+            : std::min<std::int64_t>((bound - eq_.now()).picos(),
+                                     1000000);
+        const Time delta =
+            Time::ps(std::int64_t(rng_.uniformInt(0, std::uint64_t(room))));
+        eq_.fluidWarp(delta, keys);
+        for (std::uint64_t seq : shifted) {
+            ref_.erase({when_of_[seq], seq});
+            when_of_[seq] += delta.picos();
+            ref_.emplace(when_of_[seq], seq);
+        }
+        ++warps_;
+    }
+
+    void
+    fire(std::uint64_t seq)
+    {
+        ASSERT_FALSE(ref_.empty());
+        auto top = *ref_.begin();
+        ref_.erase(ref_.begin());
+        expected_.push_back(top);
+        actual_.emplace_back(eq_.now().picos(), seq);
+        ref_digest_.event(Time::ps(top.first), top.second, tags_[top.second]);
+        if (draining_)
+            return;
+        // Self-cancel: the event has fired, so this is a no-op.
+        if (rng_.uniformInt(0, 7) == 0) {
+            EventHandle self = handles_[seq];
+            eq_.cancel(self);
+        }
+        // Keep roughly 50..400 events pending.
+        std::uint64_t n = ref_.size() < 50 ? 2
+            : ref_.size() > 400             ? 0
+                                            : rng_.uniformInt(0, 2);
+        for (std::uint64_t i = 0; i < n; ++i)
+            schedule(eq_.now() + delay());
+        if (rng_.uniformInt(0, 3) == 0)
+            cancelRandom();
+        if (rng_.uniformInt(0, 199) == 0)
+            warp();
+    }
+
+    Random rng_;
+    std::uint64_t next_seq_ = 1;    // mirrors the queue's seq counter
+    bool draining_ = false;
+    std::set<std::pair<std::int64_t, std::uint64_t>> ref_;
+    std::map<std::uint64_t, EventHandle> handles_;
+    std::map<std::uint64_t, const char *> tags_;
+    std::map<std::uint64_t, std::int64_t> when_of_;
+};
+
+} // namespace
+
+TEST(EventQueueDifferential, MatchesReferenceOrderedSet)
+{
+    for (std::uint64_t seed : {1u, 2u, 3u, 77u, 7919u}) {
+        SCOPED_TRACE(seed);
+        DifferentialCore d(seed);
+        d.run(20000);
+        ASSERT_FALSE(testing::Test::HasFatalFailure());
+        // Report the first divergence, not two 20k-entry vectors.
+        ASSERT_EQ(d.actual_.size(), d.expected_.size());
+        auto [a, e] = std::mismatch(d.actual_.begin(), d.actual_.end(),
+                                    d.expected_.begin());
+        if (a != d.actual_.end())
+            ADD_FAILURE() << "event #" << (a - d.actual_.begin())
+                          << " ran (when=" << a->first
+                          << "ps, seq=" << a->second
+                          << "), reference pops (when=" << e->first
+                          << "ps, seq=" << e->second << ")";
+        EXPECT_EQ(d.eq_.orderDigest(), d.ref_digest_.d);
+        EXPECT_EQ(d.eq_.executed(), d.expected_.size());
+        EXPECT_EQ(d.eq_.liveEvents(), 0u);
+        // Every kind of operation was genuinely exercised.
+        EXPECT_GT(d.warps_, 0u);
+        EXPECT_GT(d.cancels_, 0u);
+        EXPECT_GT(d.ties_, 0u);
+    }
+}
+
+TEST(EventQueue, KeyOrderSpansTheWholeTimeRange)
+{
+    // The biased unsigned key must order times across the full int64
+    // range, with FIFO ties at the far end too.
+    EventQueue eq;
+    std::vector<int> order;
+    eq.scheduleAt(Time::max(), [&order]() { order.push_back(0); });
+    eq.scheduleAt(Time::sec(100000), [&order]() { order.push_back(1); });
+    eq.scheduleAt(Time(), [&order]() { order.push_back(2); });
+    eq.scheduleAt(Time::max(), [&order]() { order.push_back(3); });
+    eq.scheduleAt(Time::ps(1), [&order]() { order.push_back(4); });
+    eq.runAll();
+    EXPECT_EQ(order, (std::vector<int>{2, 4, 1, 0, 3}));
+    EXPECT_EQ(eq.now(), Time::max());
+}
+
+TEST(EventQueue, FluidWarpPastACancelledKeyIsNotThePast)
+{
+    // A cancelled event inside the warped span is dead: it must not
+    // count as an absolute event left behind in the past.
+    EventQueue eq;
+    int runs = 0;
+    EventHandle dead = eq.scheduleAt(Time::ns(5), []() {});
+    eq.scheduleAt(Time::ns(10), [&runs]() { ++runs; });
+    eq.cancel(dead);
+    std::vector<EventQueue::PendingEvent> snap;
+    eq.snapshotPending(snap);
+    ASSERT_EQ(snap.size(), 1u);
+    eq.fluidWarp(Time::ns(8), {snap[0].key_index});
+    EXPECT_EQ(eq.nextEventTime(), Time::ns(18));
+    eq.runAll();
+    EXPECT_EQ(runs, 1);
+    EXPECT_EQ(eq.cancelledPending(), 0u);
+}
+
+TEST(EventQueue, SeqNearTheKeyLimitStillOrdersFifo)
+{
+    EventQueue eq;
+    std::vector<int> order;
+    eq.scheduleAt(Time::ns(5), [&order]() { order.push_back(0); });
+    EventQueueTestPeer::setNextSeq(eq, EventQueueTestPeer::maxSeq() - 2);
+    eq.scheduleAt(Time::ns(5), [&order]() { order.push_back(1); });
+    eq.scheduleAt(Time::ns(1), [&order]() { order.push_back(2); });
+    eq.runAll();
+    EXPECT_EQ(order, (std::vector<int>{2, 0, 1}));
+}
+
+TEST(EventQueueDeathTest, SeqBeyondTheKeyLimitIsFatal)
+{
+    EventQueue eq;
+    EventQueueTestPeer::setNextSeq(eq, EventQueueTestPeer::maxSeq() - 1);
+    eq.scheduleAt(Time::ns(1), []() {});    // the last orderable seq
+    EXPECT_DEATH(eq.scheduleAt(Time::ns(1), []() {}), "heap key");
+}
+
+TEST(EventQueueDeathTest, SlotsBeyondTheKeyLimitAreFatal)
+{
+    EventQueue eq;
+    EventQueueTestPeer::setSlotCount(eq, EventQueueTestPeer::maxSlots());
+    EXPECT_DEATH(eq.scheduleAt(Time::ns(1), []() {}), "heap key");
 }
 
 TEST(RingBuf, FifoAcrossWraparound)
