@@ -19,13 +19,13 @@ Testbed::Testbed(Params p) : params_(std::move(p))
         // in its completion closures — state a warp cannot rewrite —
         // so the director refuses to warp while any is in flight.
         auto gate = [this]() {
-            static const char *const opaque[] = {"dom0-netback"};
+            static const sim::CpuServer::Tag opaque("dom0-netback");
             for (unsigned i = 0; i < server_->pcpuCount(); ++i) {
-                if (server_->pcpu(i).hasWorkTagged(opaque, 1))
+                if (server_->pcpu(i).hasWorkTagged(opaque))
                     return false;
             }
             for (unsigned i = 0; i < client_->pcpuCount(); ++i) {
-                if (client_->pcpu(i).hasWorkTagged(opaque, 1))
+                if (client_->pcpu(i).hasWorkTagged(opaque))
                     return false;
             }
             return true;
@@ -438,16 +438,16 @@ Testbed::buildShardedFluid()
     // guests so the tag should never fire — the gate is the safety
     // net, not the policy.
     auto gate = [this]() {
-        static const char *const opaque[] = {"dom0-netback"};
+        static const sim::CpuServer::Tag opaque("dom0-netback");
         for (Island &s : slices_) {
             for (unsigned i = 0; i < s.hv->pcpuCount(); ++i) {
-                if (s.hv->pcpu(i).hasWorkTagged(opaque, 1))
+                if (s.hv->pcpu(i).hasWorkTagged(opaque))
                     return false;
             }
         }
         for (Island &c : client_islands_) {
             for (unsigned i = 0; i < c.hv->pcpuCount(); ++i) {
-                if (c.hv->pcpu(i).hasWorkTagged(opaque, 1))
+                if (c.hv->pcpu(i).hasWorkTagged(opaque))
                     return false;
             }
         }

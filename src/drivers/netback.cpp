@@ -1,5 +1,6 @@
 #include "drivers/netback.hpp"
 
+#include <algorithm>
 #include <utility>
 #include <vector>
 
@@ -7,6 +8,20 @@
 #include "sim/log.hpp"
 
 namespace sriov::drivers {
+
+namespace {
+
+/** First entry of the MAC-sorted @p guests not below @p mac. */
+template <typename Guests>
+auto
+lowerBoundMac(Guests &guests, std::uint64_t mac)
+{
+    return std::lower_bound(
+        guests.begin(), guests.end(), mac,
+        [](const auto &e, std::uint64_t m) { return e.first < m; });
+}
+
+} // namespace
 
 NetbackDriver::NetbackDriver(guest::GuestKernel &dom0_kern, Config cfg)
     : kern_(dom0_kern), cfg_(cfg)
@@ -50,7 +65,11 @@ NetbackDriver::connectGuest(NetfrontDriver &nf)
     // Hash the MAC so guests spread across workers even when several
     // NetbackDriver instances (one per port) share the worker pool.
     GuestCtx ctx{&nf, unsigned(nf.mac().value % cfg_.num_threads)};
-    guests_[nf.mac().value] = ctx;
+    auto it = lowerBoundMac(guests_, nf.mac().value);
+    if (it != guests_.end() && it->first == nf.mac().value)
+        it->second = ctx;
+    else
+        guests_.insert(it, {nf.mac().value, ctx});
     sim::fluidTransitionAll(sim::FluidTransition::VmChurn);
     nf.setBackend(this);
     // Pin the backend's mapping of the guest RX grant.
@@ -61,22 +80,26 @@ void
 NetbackDriver::disconnectGuest(NetfrontDriver &nf)
 {
     nf.grants().unmapGrant(nf.rxGrantRef());
-    guests_.erase(nf.mac().value);
+    auto it = lowerBoundMac(guests_, nf.mac().value);
+    if (it != guests_.end() && it->first == nf.mac().value)
+        guests_.erase(it);
     sim::fluidTransitionAll(sim::FluidTransition::VmChurn);
 }
 
 bool
 NetbackDriver::connected(const NetfrontDriver &nf) const
 {
-    auto it = guests_.find(nf.mac().value);
-    return it != guests_.end() && it->second.nf == &nf;
+    auto it = lowerBoundMac(guests_, nf.mac().value);
+    return it != guests_.end() && it->first == nf.mac().value
+           && it->second.nf == &nf;
 }
 
 NetbackDriver::GuestCtx *
 NetbackDriver::guestByMac(nic::MacAddr mac)
 {
-    auto it = guests_.find(mac.value);
-    return it == guests_.end() ? nullptr : &it->second;
+    auto it = lowerBoundMac(guests_, mac.value);
+    return it != guests_.end() && it->first == mac.value ? &it->second
+                                                         : nullptr;
 }
 
 double
@@ -183,7 +206,7 @@ NetbackDriver::deliverToGuest(GuestCtx &g, std::vector<nic::Packet> &&pkts)
     if (!cpu.busyNow())
         cycles += cm.netback_wakeup;
     NetfrontDriver *nf = g.nf;
-    cpu.submit(cycles, "dom0-netback",
+    cpu.submit(cycles, tag_,
                [this, nf, pkts = std::move(pkts), &cpu]() mutable {
                    // Grant-copy each frame into the guest RX region and
                    // log the dirtied pages for live migration.
@@ -217,7 +240,7 @@ NetbackDriver::guestTx(NetfrontDriver &src, const nic::Packet &pkt)
     double cycles = perPacketCost(src);
     if (!cpu.busyNow())
         cycles += cm.netback_wakeup;    // TX side batches upstream
-    cpu.submit(cycles, "dom0-netback", [this, pkt]() {
+    cpu.submit(cycles, tag_, [this, pkt]() {
         copies_.inc();
         if (GuestCtx *dst = guestByMac(pkt.dst)) {
             // Inter-VM: one grant copy moved the payload; deliver.

@@ -16,7 +16,6 @@
 #ifndef SRIOV_DRIVERS_NETBACK_HPP
 #define SRIOV_DRIVERS_NETBACK_HPP
 
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -101,7 +100,10 @@ class NetbackDriver : public guest::GuestKernel::IrqClient
     guest::GuestKernel &kern_;
     Config cfg_;
     nic::NicPort *nic_ = nullptr;
-    std::unordered_map<std::uint64_t, GuestCtx> guests_;    // mac -> ctx
+    /** Bridged guests sorted by MAC: a batch or a TX frame finds its
+     *  guest by binary search over one flat array, no hashing. */
+    std::vector<std::pair<std::uint64_t, GuestCtx>> guests_;
+    sim::CpuServer::Tag tag_{"dom0-netback"};
     std::vector<nic::RxCompletion> pending_;
     /** irqBottom()'s per-guest grouping, kept for its capacity. */
     std::vector<std::pair<std::uint64_t, std::vector<nic::Packet>>>

@@ -77,9 +77,9 @@ GuestKernel::raiseVirtualIrq(VirtualIrq irq, sim::CpuServer &notifier_cpu)
 {
     VirtIrqState &st = virt_irqs_.at(irq.id);
     const auto &cm = hv_.costs();
-    notifier_cpu.charge(cm.evtchn_send, "xen");
+    notifier_cpu.charge(cm.evtchn_send, xen_tag_);
     if (dom_.isHvm()) {
-        notifier_cpu.charge(cm.evtchn_hvm_conversion, "xen");
+        notifier_cpu.charge(cm.evtchn_hvm_conversion, xen_tag_);
         vcpu0().vlapic().inject(st.virt_vec);
     } else {
         dom_.evtchn().send(st.port);

@@ -156,6 +156,8 @@ class GuestKernel
     std::vector<IrqSlot> irq_slots_;
     std::vector<VirtIrqState> virt_irqs_;
     sim::Counter irqs_;
+    /** Event-channel sends are billed to the hypervisor. */
+    sim::CpuServer::Tag xen_tag_{"xen"};
 };
 
 } // namespace sriov::guest

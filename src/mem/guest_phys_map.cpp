@@ -6,57 +6,104 @@
 
 namespace sriov::mem {
 
+GuestPhysMap::Pte &
+GuestPhysMap::entryAlloc(Addr page)
+{
+    if (page >= kMaxPages)
+        sim::fatal("%s: guest-physical address 0x%llx is beyond the "
+                   "%u-bit IOMMU/EPT address width",
+                   name_.c_str(),
+                   static_cast<unsigned long long>(page * kPageSize),
+                   kGpaBits);
+    Addr d = page >> kLeafBits;
+    if (d >= dir_.size())
+        dir_.resize(d + 1);
+    if (!dir_[d]) {
+        dir_[d] = std::make_unique<Leaf>();
+        ++leaves_;
+    }
+    return dir_[d]->e[page & (kLeafEntries - 1)];
+}
+
 void
 GuestPhysMap::mapRange(Addr gpa, Addr mpa, Addr len, bool writable)
 {
     if (gpa % kPageSize || mpa % kPageSize)
         sim::panic("%s: unaligned mapping", name_.c_str());
-    for (Addr off = 0; off < len; off += kPageSize)
-        table_[pageOf(gpa + off)] = Entry{pageOf(mpa + off), writable};
+    Pte flags = kPresent | (writable ? kWritable : 0);
+    for (Addr off = 0; off < len; off += kPageSize) {
+        Pte &e = entryAlloc(pageOf(gpa + off));
+        if (!(e & kPresent))
+            ++mapped_pages_;
+        e = (e & kDirty) | ((mpa + off) & kFrameMask) | flags;
+    }
 }
 
 void
 GuestPhysMap::unmapRange(Addr gpa, Addr len)
 {
-    for (Addr off = 0; off < len; off += kPageSize)
-        table_.erase(pageOf(gpa + off));
+    for (Addr off = 0; off < len; off += kPageSize) {
+        Pte *e = entry(pageOf(gpa + off));
+        if (e == nullptr || !(*e & kPresent))
+            continue;
+        *e &= kDirty;
+        --mapped_pages_;
+    }
 }
 
 std::optional<Addr>
 GuestPhysMap::translate(Addr gpa) const
 {
-    auto it = table_.find(pageOf(gpa));
-    if (it == table_.end())
+    const Pte *e = entry(pageOf(gpa));
+    if (e == nullptr || !(*e & kPresent))
         return std::nullopt;
-    return it->second.mpa_page * kPageSize + gpa % kPageSize;
+    return (*e & kFrameMask) | (gpa & kOffsetMask);
 }
 
 bool
 GuestPhysMap::writable(Addr gpa) const
 {
-    auto it = table_.find(pageOf(gpa));
-    return it != table_.end() && it->second.writable;
+    const Pte *e = entry(pageOf(gpa));
+    return e != nullptr && (*e & kPresent) && (*e & kWritable);
+}
+
+void
+GuestPhysMap::logDirty(Pte &e, Addr page)
+{
+    e |= kDirty;
+    dirty_.push_back(page);
+}
+
+void
+GuestPhysMap::clearDirtyBits()
+{
+    for (Addr page : dirty_)
+        *entry(page) &= ~kDirty;
+    dirty_.clear();
 }
 
 void
 GuestPhysMap::enableDirtyLog()
 {
     dirty_log_ = true;
-    dirty_.clear();
+    clearDirtyBits();
 }
 
 void
 GuestPhysMap::disableDirtyLog()
 {
     dirty_log_ = false;
-    dirty_.clear();
+    clearDirtyBits();
 }
 
 void
 GuestPhysMap::markDirty(Addr gpa)
 {
-    if (dirty_log_)
-        dirty_.insert(pageOf(gpa));
+    if (!dirty_log_)
+        return;
+    Pte &e = entryAlloc(pageOf(gpa));
+    if (!(e & kDirty))
+        logDirty(e, pageOf(gpa));
 }
 
 void
@@ -65,19 +112,16 @@ GuestPhysMap::markDirtyRange(Addr gpa, Addr len)
     if (!dirty_log_)
         return;
     for (Addr off = 0; off < len; off += kPageSize)
-        dirty_.insert(pageOf(gpa + off));
+        markDirty(gpa + off);
     if (len % kPageSize == 0 && len > 0)
-        dirty_.insert(pageOf(gpa + len - 1));
+        markDirty(gpa + len - 1);
 }
 
 std::vector<Addr>
 GuestPhysMap::drainDirty()
 {
-    // The only place dirty_'s contents are walked: snapshot and sort,
-    // so hash order cannot reach a caller.
-    // simlint:allow(no-unordered-iteration): sorted before it escapes
-    std::vector<Addr> out(dirty_.begin(), dirty_.end());
-    dirty_.clear();
+    std::vector<Addr> out = dirty_;
+    clearDirtyBits();
     std::sort(out.begin(), out.end());
     return out;
 }

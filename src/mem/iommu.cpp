@@ -7,45 +7,37 @@ namespace sriov::mem {
 void
 Iommu::attach(pci::Rid rid, GuestPhysMap &domain)
 {
-    ctx_[rid] = &domain;
+    std::unique_ptr<ContextTable> &ct = root_[rid >> 8];
+    if (!ct)
+        ct = std::make_unique<ContextTable>();
+    (*ct)[rid & 0xff] = &domain;
 }
 
 void
 Iommu::detach(pci::Rid rid)
 {
-    ctx_.erase(rid);
+    if (ContextTable *ct = root_[rid >> 8].get())
+        (*ct)[rid & 0xff] = nullptr;
 }
 
-GuestPhysMap *
-Iommu::domainOf(pci::Rid rid)
-{
-    auto it = ctx_.find(rid);
-    return it == ctx_.end() ? nullptr : it->second;
-}
-
+// simlint: hot
 Iommu::Result
 Iommu::translate(pci::Rid rid, Addr gpa, bool is_write)
 {
     translations_.inc();
-    auto it = ctx_.find(rid);
-    if (it == ctx_.end()) {
+    GuestPhysMap *dom = context(rid);
+    if (dom == nullptr) {
         faults_.inc();
         return Result{Fault::NoContext, 0};
     }
-    GuestPhysMap &dom = *it->second;
-    auto mpa = dom.translate(gpa);
-    if (!mpa) {
-        faults_.inc();
-        return Result{Fault::NotPresent, 0};
-    }
-    if (is_write) {
-        if (!dom.writable(gpa)) {
-            faults_.inc();
-            return Result{Fault::WriteProtected, 0};
-        }
-        dom.markDirty(gpa);
-    }
-    return Result{Fault::None, *mpa};
+    GuestPhysMap::Walk w = dom->access(gpa, is_write);
+    if (w.access == GuestPhysMap::Access::Ok)
+        return Result{Fault::None, w.mpa};
+    faults_.inc();
+    return Result{w.access == GuestPhysMap::Access::NotPresent
+                      ? Fault::NotPresent
+                      : Fault::WriteProtected,
+                  0};
 }
 
 Iommu::Result

@@ -7,13 +7,19 @@
  * remapped to machine-physical addresses, and a VF can never touch
  * memory outside its guest (paper Sections 1, 2). Faults are counted
  * and reported, never silently dropped.
+ *
+ * The context lookup is VT-d's: a 256-entry root table indexed by the
+ * RID's bus, each present entry pointing at a 256-entry context table
+ * indexed by devfn, whose entry names the domain's page table. A DMA
+ * translation is that two-step index plus one GuestPhysMap walk.
  */
 
 #ifndef SRIOV_MEM_IOMMU_HPP
 #define SRIOV_MEM_IOMMU_HPP
 
+#include <array>
 #include <cstdint>
-#include <unordered_map>
+#include <memory>
 
 #include "mem/guest_phys_map.hpp"
 #include "pci/types.hpp"
@@ -43,8 +49,8 @@ class Iommu
     /** Bind @p rid to @p domain's page table (context entry). */
     void attach(pci::Rid rid, GuestPhysMap &domain);
     void detach(pci::Rid rid);
-    bool attached(pci::Rid rid) const { return ctx_.count(rid) != 0; }
-    GuestPhysMap *domainOf(pci::Rid rid);
+    bool attached(pci::Rid rid) const { return context(rid) != nullptr; }
+    GuestPhysMap *domainOf(pci::Rid rid) { return context(rid); }
 
     /**
      * Translate one DMA access. Writes mark the target page dirty in
@@ -67,7 +73,20 @@ class Iommu
     }
 
   private:
-    std::unordered_map<pci::Rid, GuestPhysMap *> ctx_;
+    /** One bus's context entries, indexed by devfn. */
+    using ContextTable = std::array<GuestPhysMap *, 256>;
+
+    // simlint: hot
+    GuestPhysMap *
+    context(pci::Rid rid) const
+    {
+        const ContextTable *ct = root_[rid >> 8].get();
+        return ct == nullptr ? nullptr : (*ct)[rid & 0xff];
+    }
+
+    /** Root table, indexed by bus; a bus's table exists once any of
+     *  its RIDs was attached. */
+    std::array<std::unique_ptr<ContextTable>, 256> root_;
     sim::Counter faults_;
     sim::Counter translations_;
 };

@@ -1,10 +1,68 @@
 #include "sim/cpu_server.hpp"
 
+#include <mutex>
 #include <utility>
 
 #include "sim/log.hpp"
 
 namespace sriov::sim {
+
+namespace {
+
+/**
+ * The process-wide tag names. Sharded runs resolve tags from worker
+ * threads, so lookups lock; resolution is a setup-time cost, never a
+ * per-packet one. names[i] points at tag i's key in the map, whose
+ * nodes never move, so a name's reference outlives the lock.
+ */
+struct TagTable
+{
+    std::mutex mu;
+    std::map<std::string, std::uint32_t, std::less<>> index;
+    std::vector<const std::string *> names;
+};
+
+TagTable &
+tagTable()
+{
+    static TagTable t;
+    return t;
+}
+
+} // namespace
+
+CpuServer::Tag::Tag(std::string_view name)
+{
+    TagTable &t = tagTable();
+    std::lock_guard<std::mutex> lock(t.mu);
+    auto it = t.index.find(name);
+    if (it == t.index.end()) {
+        it = t.index.emplace(std::string(name),
+                             std::uint32_t(t.names.size()))
+                 .first;
+        t.names.push_back(&it->first);
+    }
+    idx_ = it->second;
+}
+
+std::optional<CpuServer::Tag>
+CpuServer::Tag::find(std::string_view name)
+{
+    TagTable &t = tagTable();
+    std::lock_guard<std::mutex> lock(t.mu);
+    auto it = t.index.find(name);
+    if (it == t.index.end())
+        return std::nullopt;
+    return Tag(it->second);
+}
+
+const std::string &
+CpuServer::Tag::name() const
+{
+    TagTable &t = tagTable();
+    std::lock_guard<std::mutex> lock(t.mu);
+    return *t.names[idx_];
+}
 
 CpuServer::CpuServer(EventQueue &eq, std::string name, double hz)
     : eq_(eq), name_(std::move(name)), hz_(hz)
@@ -13,40 +71,31 @@ CpuServer::CpuServer(EventQueue &eq, std::string name, double hz)
         fatal("CpuServer %s: non-positive clock %f", name_.c_str(), hz_);
 }
 
+// simlint: hot
 void
-CpuServer::submit(double cycles, std::string_view tag, InplaceFn on_done)
+CpuServer::submit(double cycles, Tag tag, InplaceFn on_done)
 {
     if (cycles < 0)
-        panic("negative work submitted to %s", name_.c_str());
-    queue_.push_back(
-        Work{cycles, std::string(tag), std::move(on_done), Time()});
+        negativeWork("work submitted");
+    // simlint:allow(hot-path-alloc): RingBuf warm-up growth only
+    queue_.push_back(Work{cycles, tag, std::move(on_done), Time()});
     if (!in_service_)
         startNext();
 }
 
 void
-CpuServer::charge(double cycles, std::string_view tag)
+CpuServer::negativeWork(const char *what) const
 {
-    if (cycles < 0)
-        panic("negative charge on %s", name_.c_str());
-    busy_ += Time::cycles(cycles, hz_);
-    tagCycles(tag) += cycles;
+    panic("negative %s on %s", what, name_.c_str());
 }
 
 double &
-CpuServer::tagCycles(std::string_view tag)
+CpuServer::registerTag(Tag tag)
 {
-    if (last_tag_idx_ < cycles_by_tag_.size()
-        && cycles_by_tag_[last_tag_idx_].first == tag)
-        return cycles_by_tag_[last_tag_idx_].second;
-    for (std::size_t i = 0; i < cycles_by_tag_.size(); ++i) {
-        if (cycles_by_tag_[i].first == tag) {
-            last_tag_idx_ = i;
-            return cycles_by_tag_[i].second;
-        }
-    }
-    last_tag_idx_ = cycles_by_tag_.size();
-    cycles_by_tag_.emplace_back(std::string(tag), 0.0);
+    if (tag.index() >= slot_of_.size())
+        slot_of_.resize(tag.index() + 1, 0);
+    cycles_by_tag_.emplace_back(tag, 0.0);
+    slot_of_[tag.index()] = std::uint32_t(cycles_by_tag_.size());
     return cycles_by_tag_.back().second;
 }
 
@@ -74,7 +123,7 @@ CpuServer::finishCurrent()
     // work (reentrancy), and startNext() overwrites current_.
     Work w = std::move(current_);
     if (span_tap_ != nullptr)
-        span_tap_->onCpuSpan(*this, w.tag, w.start, eq_.now());
+        span_tap_->onCpuSpan(*this, w.tag.name(), w.start, eq_.now());
     if (w.on_done)
         w.on_done();
     startNext();
@@ -101,18 +150,12 @@ CpuServer::fluidVisit(FluidVisitor &v)
 }
 
 bool
-CpuServer::hasWorkTagged(const char *const *tags, std::size_t n) const
+CpuServer::hasWorkTagged(Tag tag) const
 {
-    auto match = [&](const std::string &tag) {
-        for (std::size_t i = 0; i < n; ++i)
-            if (tag == tags[i])
-                return true;
-        return false;
-    };
-    if (in_service_ && match(current_.tag))
+    if (in_service_ && current_.tag == tag)
         return true;
     for (std::size_t i = 0; i < queue_.size(); ++i)
-        if (match(queue_[i].tag))
+        if (queue_[i].tag == tag)
             return true;
     return false;
 }
@@ -122,7 +165,7 @@ CpuServer::snapshot() const
 {
     std::map<std::string, double> by_tag;
     for (const auto &[tag, cycles] : cycles_by_tag_)
-        by_tag.emplace(tag, cycles);
+        by_tag.emplace(tag.name(), cycles);
     return CpuSnapshot{busy_, eq_.now(), std::move(by_tag)};
 }
 
@@ -140,12 +183,9 @@ CpuServer::cyclesSince(const CpuSnapshot &before,
                        const std::string &tag) const
 {
     double now_v = 0.0;
-    for (const auto &[t, cycles] : cycles_by_tag_) {
-        if (t == tag) {
-            now_v = cycles;
-            break;
-        }
-    }
+    if (auto t = Tag::find(tag);
+        t && t->index() < slot_of_.size() && slot_of_[t->index()] != 0)
+        now_v = cycles_by_tag_[slot_of_[t->index()] - 1].second;
     auto old_it = before.cycles_by_tag.find(tag);
     double old_v = old_it == before.cycles_by_tag.end() ? 0.0
                                                         : old_it->second;

@@ -11,8 +11,12 @@
  * as queueing delay, and per-component CPU utilization is simply the
  * accumulated busy time of the servers a component runs on.
  *
- * Work is attributed to string tags ("guest", "xen", "dom0", ...) so
- * benches can report the same breakdowns the paper's figures use.
+ * Work is attributed to tags ("vm3", "xen", "dom0-netback", ...) so
+ * benches can report the same breakdowns the paper's figures use. A
+ * tag name is interned once into a CpuServer::Tag — a small index into
+ * a process-wide name table — and callers on the per-packet path keep
+ * the handle, so charging a packet's cycles is an indexed add: no
+ * string copy, compare or hash.
  */
 
 #ifndef SRIOV_SIM_CPU_SERVER_HPP
@@ -20,6 +24,7 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -43,6 +48,41 @@ struct CpuSnapshot
 class CpuServer
 {
   public:
+    /**
+     * An interned accounting tag. Constructing one from a name looks
+     * the name up (by content, under a lock) in a process-wide table
+     * and assigns the next index on first sight; resolve it once,
+     * outside the per-packet path, and keep it. Indices are dense, so
+     * a server's per-tag cell is found by indexing. They depend on the
+     * order names were first resolved, so nothing observable (reports,
+     * digests, fluid state walks) ever depends on an index: reports
+     * key by name and walks follow each server's first-charge order.
+     */
+    class Tag
+    {
+      public:
+        explicit Tag(std::string_view name);
+
+        /** The tag named @p name, if one was ever resolved. */
+        static std::optional<Tag> find(std::string_view name);
+
+        std::uint32_t index() const { return idx_; }
+        /** The interned name; the reference stays valid for the
+         *  life of the process. */
+        const std::string &name() const;
+
+        bool operator==(const Tag &) const = default;
+
+      private:
+        friend class CpuServer;
+
+        /** No tag: only the idle server's current_ item holds one. */
+        Tag() = default;
+        explicit Tag(std::uint32_t idx) : idx_(idx) {}
+
+        std::uint32_t idx_ = UINT32_MAX;
+    };
+
     /**
      * Observation tap for executed work spans (obs::ChromeTraceWriter
      * draws them as per-CPU track slices). Called at work completion
@@ -71,18 +111,39 @@ class CpuServer
     /**
      * Submit @p cycles of work attributed to @p tag. @p on_done (may be
      * empty) runs when the work completes, i.e. after queueing plus
-     * service time.
+     * service time. The tag enters snapshot() when the work starts
+     * service.
      */
-    void submit(double cycles, std::string_view tag,
-                InplaceFn on_done = {});
+    void submit(double cycles, Tag tag, InplaceFn on_done = {});
+    /** As above, resolving @p tag by name first (off the hot path). */
+    void
+    submit(double cycles, std::string_view tag, InplaceFn on_done = {})
+    {
+        submit(cycles, Tag(tag), std::move(on_done));
+    }
 
     /**
      * Account @p cycles as consumed instantly (no serialization, no
      * completion latency). Used for fine-grained costs that are small
      * relative to the event granularity, where modelling queueing would
-     * add nothing but events.
+     * add nothing but events. The first charge of a tag, even of zero
+     * cycles, adds it to snapshot().
      */
-    void charge(double cycles, std::string_view tag);
+    // simlint: hot
+    void
+    charge(double cycles, Tag tag)
+    {
+        if (cycles < 0)
+            negativeWork("charge");
+        busy_ += Time::cycles(cycles, hz_);
+        tagCycles(tag) += cycles;
+    }
+    /** As above, resolving @p tag by name first (off the hot path). */
+    void
+    charge(double cycles, std::string_view tag)
+    {
+        charge(cycles, Tag(tag));
+    }
 
     /** Number of work items waiting (excluding the one in service). */
     std::size_t queueDepth() const { return queue_.size(); }
@@ -112,27 +173,36 @@ class CpuServer
     void fluidVisit(FluidVisitor &v);
 
     /**
-     * Is any queued or in-service item attributed to one of the @p n
-     * @p tags? A fluid warp shifts every visited time-point but cannot
-     * rewrite values captured inside completion closures, so the fluid
-     * director refuses to warp while work whose closure captures
-     * per-packet data (netback's grant-copy batches) is in flight.
+     * Is any queued or in-service item attributed to @p tag? A fluid
+     * warp shifts every visited time-point but cannot rewrite values
+     * captured inside completion closures, so the fluid director
+     * refuses to warp while work whose closure captures per-packet
+     * data (netback's grant-copy batches) is in flight.
      */
-    bool hasWorkTagged(const char *const *tags, std::size_t n) const;
+    bool hasWorkTagged(Tag tag) const;
 
   private:
     struct Work
     {
         double cycles;
-        std::string tag;
+        Tag tag;
         InplaceFn on_done;
         Time start;
     };
 
     void startNext();
     void finishCurrent();
-    /** Accumulator cell for @p tag (creates it on first use). */
-    double &tagCycles(std::string_view tag);
+    [[noreturn]] void negativeWork(const char *what) const;
+    /** Accumulator cell for @p tag (registers it on first use). */
+    double &
+    tagCycles(Tag tag)
+    {
+        std::uint32_t i = tag.index();
+        if (i < slot_of_.size() && slot_of_[i] != 0) [[likely]]
+            return cycles_by_tag_[slot_of_[i] - 1].second;
+        return registerTag(tag);
+    }
+    double &registerTag(Tag tag);
 
     EventQueue &eq_;
     std::string name_;
@@ -148,14 +218,14 @@ class CpuServer
     bool in_service_ = false;
     Time busy_;
     /**
-     * Per-tag cycle accounting. A server sees a handful of distinct
-     * tags over a whole run, but charges one on every packet — a flat
-     * array scanned linearly (plus a last-hit cache, since bursts
-     * charge the same tag repeatedly) beats a std::map node walk.
-     * snapshot() converts to a map on the cold query path.
+     * Per-tag cycle accounting, in first-charge order (the order the
+     * fluid state walk visits). slot_of_[tag index] is 1 + the tag's
+     * position here, 0 for a tag this server never charged, so the
+     * per-packet charge is two indexed loads. snapshot() converts to
+     * a name-keyed map on the cold query path.
      */
-    std::vector<std::pair<std::string, double>> cycles_by_tag_;
-    std::size_t last_tag_idx_ = 0;
+    std::vector<std::pair<Tag, double>> cycles_by_tag_;
+    std::vector<std::uint32_t> slot_of_;
     SpanTap *span_tap_ = nullptr;
 };
 

@@ -204,43 +204,78 @@ EventQueue::purgeCancelledTop()
     }
 }
 
+namespace {
+
+std::size_t
+foldSlot(const char *tag, std::size_t mask)
+{
+    // Fibonacci hashing: the product's upper half mixes every
+    // pointer bit.
+    return std::size_t((std::uint64_t(reinterpret_cast<std::uintptr_t>(tag))
+                        * 0x9e3779b97f4a7c15ull)
+                       >> 32)
+           & mask;
+}
+
+} // namespace
+
 const EventQueue::TagFold &
 EventQueue::tagFold(const char *tag)
 {
-    // One event commonly repeats its predecessor's tag (bursts of
-    // wire/CPU events); a one-entry MRU skips even the map lookup.
-    if (tag == last_tag_)
-        return *last_fold_;
-    auto it = tag_folds_.find(tag);
-    if (it == tag_folds_.end()) {
-        constexpr std::uint64_t kPrime = 0x100000001b3ull;
-        auto tf = std::make_unique<TagFold>();
-        std::uint64_t pow = 1;
-        for (const char *p = tag; *p != '\0'; ++p)
-            pow *= kPrime;
-        tf->pow = pow;
-        // The byte-wise FNV-1a fold d -> (d ^ b) * kPrime mod 2^64 is
-        // affine in d once the trajectory of d's low byte is fixed,
-        // and that trajectory depends only on the initial low byte:
-        // XOR with an 8-bit value touches only the low byte, and the
-        // low byte of a product mod 2^64 depends only on the low
-        // bytes of its factors. So folding a whole tag collapses to
-        //   d' = d * kPrime^len + add[d & 0xff]
-        // with a 256-entry table per tag. Identical bit-for-bit to
-        // the byte loop (pinned by SimDigest tests).
-        for (std::uint32_t lo = 0; lo < 256; ++lo) {
-            std::uint64_t d = lo;
-            for (const char *p = tag; *p != '\0'; ++p) {
-                d ^= std::uint64_t(static_cast<unsigned char>(*p));
-                d *= kPrime;
-            }
-            tf->add[lo] = d - lo * pow;
-        }
-        it = tag_folds_.emplace(tag, std::move(tf)).first;
+    const std::size_t mask = fold_index_.size() - 1;
+    for (std::size_t i = foldSlot(tag, mask);; i = (i + 1) & mask) {
+        const FoldRef &r = fold_index_[i];
+        if (r.tag == tag)
+            return *r.fold;
+        if (r.tag == nullptr)
+            return addTagFold(tag);
     }
-    last_tag_ = tag;
-    last_fold_ = it->second.get();
-    return *last_fold_;
+}
+
+const EventQueue::TagFold &
+EventQueue::addTagFold(const char *tag)
+{
+    constexpr std::uint64_t kPrime = 0x100000001b3ull;
+    auto tf = std::make_unique<TagFold>();
+    std::uint64_t pow = 1;
+    for (const char *p = tag; *p != '\0'; ++p)
+        pow *= kPrime;
+    tf->pow = pow;
+    // The byte-wise FNV-1a fold d -> (d ^ b) * kPrime mod 2^64 is
+    // affine in d once the trajectory of d's low byte is fixed, and
+    // that trajectory depends only on the initial low byte: XOR with
+    // an 8-bit value touches only the low byte, and the low byte of a
+    // product mod 2^64 depends only on the low bytes of its factors.
+    // So folding a whole tag collapses to
+    //   d' = d * kPrime^len + add[d & 0xff]
+    // with a 256-entry table per tag. Identical bit-for-bit to the
+    // byte loop (pinned by SimDigest tests).
+    for (std::uint32_t lo = 0; lo < 256; ++lo) {
+        std::uint64_t d = lo;
+        for (const char *p = tag; *p != '\0'; ++p) {
+            d ^= std::uint64_t(static_cast<unsigned char>(*p));
+            d *= kPrime;
+        }
+        tf->add[lo] = d - lo * pow;
+    }
+    tag_folds_.push_back(std::move(tf));
+    auto insert = [this](FoldRef r) {
+        const std::size_t mask = fold_index_.size() - 1;
+        std::size_t i = foldSlot(r.tag, mask);
+        while (fold_index_[i].tag != nullptr)
+            i = (i + 1) & mask;
+        fold_index_[i] = r;
+    };
+    // Rebuild the index at twice the size once it would pass half full.
+    if (2 * tag_folds_.size() > fold_index_.size()) {
+        std::vector<FoldRef> old = std::move(fold_index_);
+        fold_index_.assign(old.size() * 2, FoldRef{});
+        for (const FoldRef &r : old)
+            if (r.tag != nullptr)
+                insert(r);
+    }
+    insert(FoldRef{tag, tag_folds_.back().get()});
+    return *tag_folds_.back();
 }
 
 void

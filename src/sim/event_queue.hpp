@@ -21,8 +21,9 @@
  *    capture, and no slot relocation when the store grows mid-event;
  *  - cancellation flips the slot's state — O(1), no hashing — and the
  *    stale heap key is dropped when it reaches the top;
- *  - the order digest memoizes each tag's FNV-1a contribution (keyed
- *    by the literal's pointer), folding repeated tags in O(1).
+ *  - the order digest memoizes each tag's FNV-1a contribution, found
+ *    by the literal's pointer in a small open-addressed table, so a
+ *    tag folds in O(1) with no hashing library call.
  *
  * Two correctness facilities are built in (see src/check/):
  *  - an Observer that is told about schedule-in-the-past attempts and
@@ -42,7 +43,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/inplace_fn.hpp"
@@ -423,6 +423,15 @@ class EventQueue
     void executeTop();
     void foldDigest(Time when, std::uint64_t seq, const char *tag);
     const TagFold &tagFold(const char *tag);
+    /** Build @p tag's fold and index it (first sight of a tag). */
+    const TagFold &addTagFold(const char *tag);
+
+    /** One fold_index_ cell: a tag literal's address and its fold. */
+    struct FoldRef
+    {
+        const char *tag = nullptr;
+        const TagFold *fold = nullptr;
+    };
 
     std::vector<HeapKey> heap_;    ///< 4-ary min-heap, root at [0]
     std::vector<std::unique_ptr<Slot[]>> slot_chunks_;
@@ -435,9 +444,16 @@ class EventQueue
     std::uint64_t live_events_ = 0;
     std::size_t cancelled_pending_ = 0;
     std::uint64_t digest_ = 0xcbf29ce484222325ull;    // FNV-1a offset basis
-    const void *last_tag_ = nullptr;
-    const TagFold *last_fold_ = nullptr;
-    std::unordered_map<const void *, std::unique_ptr<TagFold>> tag_folds_;
+    /** Every tag's fold, built on first sight (stable addresses). */
+    std::vector<std::unique_ptr<TagFold>> tag_folds_;
+    /**
+     * Linear-probing index over tag_folds_ by tag pointer, kept at
+     * most half full (power-of-two size). Events alternate among a
+     * few dozen tags, so a lookup is a multiply and, almost always,
+     * one probe. Pointer values vary run to run; they decide only
+     * where a fold is found, never what it is.
+     */
+    std::vector<FoldRef> fold_index_ = std::vector<FoldRef>(64);
     Observer *observer_ = nullptr;
     std::vector<ExecHook *> exec_hooks_;
 };

@@ -1,28 +1,9 @@
 #include "sim/time.hpp"
 
 #include <cinttypes>
-#include <cmath>
 #include <cstdio>
 
 namespace sriov::sim {
-
-Time
-Time::seconds(double v)
-{
-    return Time(std::int64_t(std::llround(v * 1e12)));
-}
-
-Time
-Time::cycles(double cycles, double hz)
-{
-    return Time(std::int64_t(std::llround(cycles / hz * 1e12)));
-}
-
-Time
-Time::transfer(double bits, double bits_per_sec)
-{
-    return Time(std::int64_t(std::llround(bits / bits_per_sec * 1e12)));
-}
 
 std::string
 Time::toString() const

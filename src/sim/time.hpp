@@ -11,6 +11,7 @@
 #ifndef SRIOV_SIM_TIME_HPP
 #define SRIOV_SIM_TIME_HPP
 
+#include <cmath>
 #include <cstdint>
 #include <compare>
 #include <string>
@@ -33,12 +34,40 @@ class Time
         return Time(v * 1000000000000LL);
     }
     /** Fractional seconds (for configuration convenience). */
-    static Time seconds(double v);
+    static Time seconds(double v) { return Time(roundPs(v * 1e12)); }
     /** Duration of @p cycles CPU cycles at @p hz. */
-    static Time cycles(double cycles, double hz);
+    static Time
+    cycles(double cycles, double hz)
+    {
+        return Time(roundPs(cycles / hz * 1e12));
+    }
     /** Duration to move @p bits over a link running at @p bits_per_sec. */
-    static Time transfer(double bits, double bits_per_sec);
+    static Time
+    transfer(double bits, double bits_per_sec)
+    {
+        return Time(roundPs(bits / bits_per_sec * 1e12));
+    }
     /** @} */
+
+    /**
+     * std::llround(@p ps), bit for bit, without the libm call: round
+     * half away from zero. For |ps| < 2^63 the cast truncates toward
+     * zero and `ps - t` is exact (t shares ps's sign and, when
+     * nonzero, lies in [ps/2, ps], so Sterbenz's lemma applies), so
+     * comparing the exact fraction against +-0.5 rounds exactly —
+     * unlike floor(ps + 0.5), which rounds 0.49999999999999994 up.
+     * Values from 2^52 on are integers and the fraction is 0. NaN and
+     * out-of-range values take libm's path, whatever it returns.
+     */
+    static std::int64_t
+    roundPs(double ps)
+    {
+        if (!(ps >= -0x1p63 && ps < 0x1p63)) [[unlikely]]
+            return std::int64_t(std::llround(ps));
+        auto t = static_cast<std::int64_t>(ps);
+        double frac = ps - static_cast<double>(t);
+        return t + std::int64_t(frac >= 0.5) - std::int64_t(frac <= -0.5);
+    }
 
     constexpr std::int64_t picos() const { return ps_; }
     constexpr double toSeconds() const { return double(ps_) * 1e-12; }

@@ -14,7 +14,7 @@ void
 DeviceModel::submitEmulation(double cycles, sim::InplaceFn on_done)
 {
     requests_.inc();
-    host_cpu_.submit(cycles, tag(), std::move(on_done));
+    host_cpu_.submit(cycles, tag_, std::move(on_done));
 }
 
 void

@@ -61,6 +61,7 @@ class DeviceModel
     Domain &guest_;
     sim::CpuServer &host_cpu_;
     const CostModel &cm_;
+    sim::CpuServer::Tag tag_{tag()};
     sim::Counter requests_;
     sim::Counter mask_writes_;
 };

@@ -61,7 +61,7 @@ MigrationManager::sendRound(Session s, std::uint64_t pages, unsigned round)
         hv_.eq().scheduleIn(dur * i / slices, [this, total_cycles,
                                                slices]() {
             hv_.dom0Cpu(0).charge(total_cycles / double(slices),
-                                  "dom0-migr");
+                                  migr_tag_);
         });
     }
 
@@ -107,7 +107,7 @@ MigrationManager::stopAndCopy(Session s, std::uint64_t dirty_pages)
     sim::Time down = copyTime(s.p, dirty_pages) + s.p.resume_overhead;
     s.result.pages_sent += dirty_pages;
     hv_.dom0Cpu(0).charge(double(dirty_pages) * hv_.costs().migrate_per_page,
-                          "dom0-migr");
+                          migr_tag_);
 
     hv_.eq().scheduleIn(down, [this, s = std::move(s)]() mutable {
         Domain &dom = *s.dom;

@@ -90,6 +90,8 @@ class MigrationManager
 
     Hypervisor &hv_;
     bool in_progress_ = false;
+    /** dom0's migration helper: page mapping and sending. */
+    sim::CpuServer::Tag migr_tag_{"dom0-migr"};
 };
 
 } // namespace sriov::vmm

@@ -6,8 +6,8 @@
 namespace sriov::vmm {
 
 Vcpu::Vcpu(unsigned id, Domain &dom, sim::CpuServer &pcpu)
-    : id_(id), dom_(dom), pcpu_(pcpu),
-      handlers_(std::size_t(intr::VectorAllocator::kLast) + 1)
+    : id_(id), dom_(dom), pcpu_(pcpu), guest_tag_(dom.name()),
+      xen_tag_("xen"), handlers_(std::size_t(intr::VectorAllocator::kLast) + 1)
 {
     vlapic_.chip().setDeliver([this](intr::Vector v) { dispatch(v); });
 }
@@ -15,19 +15,7 @@ Vcpu::Vcpu(unsigned id, Domain &dom, sim::CpuServer &pcpu)
 void
 Vcpu::submitGuestWork(double cycles, sim::InplaceFn on_done)
 {
-    pcpu_.submit(cycles, dom_.name(), std::move(on_done));
-}
-
-void
-Vcpu::chargeGuest(double cycles)
-{
-    pcpu_.charge(cycles, dom_.name());
-}
-
-void
-Vcpu::chargeXen(double cycles)
-{
-    pcpu_.charge(cycles, "xen");
+    pcpu_.submit(cycles, guest_tag_, std::move(on_done));
 }
 
 void

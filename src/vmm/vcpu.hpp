@@ -36,10 +36,10 @@ class Vcpu
     void submitGuestWork(double cycles, sim::InplaceFn on_done);
 
     /** Charge guest-context cycles without serialization. */
-    void chargeGuest(double cycles);
+    void chargeGuest(double cycles) { pcpu_.charge(cycles, guest_tag_); }
 
     /** Charge hypervisor cycles spent on this VCPU's behalf. */
-    void chargeXen(double cycles);
+    void chargeXen(double cycles) { pcpu_.charge(cycles, xen_tag_); }
 
     /** @name Virtual interrupt dispatch. @{ */
     using IrqHandler = std::function<void()>;
@@ -58,6 +58,10 @@ class Vcpu
     unsigned id_;
     Domain &dom_;
     sim::CpuServer &pcpu_;
+    /** The domain's and the hypervisor's accounting tags, resolved
+     *  once: every guest packet charges one of them. */
+    sim::CpuServer::Tag guest_tag_;
+    sim::CpuServer::Tag xen_tag_;
     intr::VirtualLapic vlapic_;
     /** Dense dispatch: indexed by vector (intr::Vector is 8-bit). */
     std::vector<IrqHandler> handlers_;

@@ -6,10 +6,18 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <memory>
+#include <optional>
+#include <set>
+#include <string>
+#include <vector>
+
 #include "mem/dma_engine.hpp"
 #include "mem/guest_phys_map.hpp"
 #include "mem/iommu.hpp"
 #include "mem/machine_memory.hpp"
+#include "sim/random.hpp"
 #include "sim/thinning.hpp"
 
 using namespace sriov;
@@ -166,6 +174,276 @@ TEST_F(IommuTest, TranslateRangeChecksEveryPage)
     EXPECT_TRUE(iommu.translateRange(0x100, 0, 4 * kPageSize, false).ok());
     EXPECT_EQ(iommu.translateRange(0x100, 0, 5 * kPageSize, false).fault,
               Iommu::Fault::NotPresent);
+}
+
+// ---------------------------------------------------------------------------
+// Differential: the radix table and the root/context tables against a
+// std::map reference of pages, dirty log and context entries.
+
+namespace {
+
+/** One domain's page table as a plain ordered map of pages. */
+struct RefMap
+{
+    struct Entry
+    {
+        Addr mpa_page;
+        bool writable;
+    };
+    std::map<Addr, Entry> pages;
+    bool log = false;
+    std::set<Addr> dirty;
+
+    void
+    map(Addr gpa, Addr mpa, Addr len, bool w)
+    {
+        for (Addr off = 0; off < len; off += kPageSize)
+            pages[pageOf(gpa + off)] = Entry{pageOf(mpa + off), w};
+    }
+    void
+    unmap(Addr gpa, Addr len)
+    {
+        for (Addr off = 0; off < len; off += kPageSize)
+            pages.erase(pageOf(gpa + off));
+    }
+    std::optional<Addr>
+    translate(Addr gpa) const
+    {
+        auto it = pages.find(pageOf(gpa));
+        if (it == pages.end())
+            return std::nullopt;
+        return it->second.mpa_page * kPageSize + gpa % kPageSize;
+    }
+    bool
+    writable(Addr gpa) const
+    {
+        auto it = pages.find(pageOf(gpa));
+        return it != pages.end() && it->second.writable;
+    }
+    void
+    markDirty(Addr gpa)
+    {
+        if (log)
+            dirty.insert(pageOf(gpa));
+    }
+    void
+    markDirtyRange(Addr gpa, Addr len)
+    {
+        for (Addr off = 0; off < len; off += kPageSize)
+            markDirty(gpa + off);
+        if (len % kPageSize == 0 && len > 0)
+            markDirty(gpa + len - 1);
+    }
+    std::vector<Addr>
+    drain()
+    {
+        std::vector<Addr> out(dirty.begin(), dirty.end());
+        dirty.clear();
+        return out;
+    }
+};
+
+/** A GPA in one of three regions: low memory spanning several leaf
+ *  tables, 1 GiB up, and the last 4 MiB of the 39-bit space (leaving
+ *  room for the longest range an operation draws). */
+Addr
+randomGpa(sim::Random &rng)
+{
+    static const Addr kBases[] = {
+        0, Addr(1) << 30,
+        (Addr(1) << GuestPhysMap::kGpaBits) - (Addr(4) << 20)};
+    Addr base = kBases[rng.uniformInt(0, 2)];
+    return base + rng.uniformInt(0, 959) * kPageSize
+           + (rng.uniformInt(0, 3) == 0 ? rng.uniformInt(0, kPageSize - 1)
+                                        : 0);
+}
+
+} // namespace
+
+TEST(GuestPhysMapDifferential, MatchesStdMapReference)
+{
+    constexpr int kDomains = 3;
+    // RIDs on five buses, including bus 0 devfn 0 and bus 0xff.
+    const pci::Rid kRids[] = {0x0000, 0x0100, 0x0101, 0x01ff,
+                              0x0208, 0x8010, 0xff07};
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+        sim::Random rng(seed);
+        std::vector<std::unique_ptr<GuestPhysMap>> maps;
+        std::vector<RefMap> ref(kDomains);
+        for (int d = 0; d < kDomains; ++d) {
+            std::string name = "d";
+            name += std::to_string(d);
+            maps.push_back(std::make_unique<GuestPhysMap>(name));
+        }
+        Iommu iommu;
+        std::map<pci::Rid, int> ref_ctx;
+        std::uint64_t ref_faults = 0, ref_xlates = 0;
+
+        auto refTranslate = [&](pci::Rid rid, Addr gpa, bool w) {
+            ++ref_xlates;
+            auto c = ref_ctx.find(rid);
+            if (c == ref_ctx.end()) {
+                ++ref_faults;
+                return Iommu::Result{Iommu::Fault::NoContext, 0};
+            }
+            RefMap &m = ref[c->second];
+            auto mpa = m.translate(gpa);
+            if (!mpa) {
+                ++ref_faults;
+                return Iommu::Result{Iommu::Fault::NotPresent, 0};
+            }
+            if (w) {
+                if (!m.writable(gpa)) {
+                    ++ref_faults;
+                    return Iommu::Result{Iommu::Fault::WriteProtected, 0};
+                }
+                m.markDirty(gpa);
+            }
+            return Iommu::Result{Iommu::Fault::None, *mpa};
+        };
+
+        for (int step = 0; step < 20000; ++step) {
+            int d = int(rng.uniformInt(0, kDomains - 1));
+            GuestPhysMap &m = *maps[d];
+            RefMap &r = ref[d];
+            Addr gpa = randomGpa(rng);
+            switch (rng.uniformInt(0, 11)) {
+            case 0: case 1: {
+                Addr page_gpa = pageBase(gpa);
+                Addr len = rng.uniformInt(1, 40) * kPageSize;
+                Addr mpa = rng.uniformInt(1, 1u << 20) * kPageSize;
+                bool w = rng.uniformInt(0, 3) != 0;
+                m.mapRange(page_gpa, mpa, len, w);
+                r.map(page_gpa, mpa, len, w);
+                break;
+            }
+            case 2: {
+                Addr len = rng.uniformInt(1, 20) * kPageSize;
+                m.unmapRange(pageBase(gpa), len);
+                r.unmap(pageBase(gpa), len);
+                break;
+            }
+            case 3:
+                ASSERT_EQ(m.translate(gpa), r.translate(gpa));
+                ASSERT_EQ(m.writable(gpa), r.writable(gpa));
+                break;
+            case 4:
+                if (rng.uniformInt(0, 7) == 0) {
+                    if (r.log) {
+                        m.disableDirtyLog();
+                        r.log = false;
+                    } else {
+                        m.enableDirtyLog();
+                        r.log = true;
+                    }
+                    r.dirty.clear();
+                } else if (rng.uniformInt(0, 1) == 0) {
+                    m.markDirty(gpa);
+                    r.markDirty(gpa);
+                } else {
+                    Addr len = rng.uniformInt(0, 5) * kPageSize
+                               + rng.uniformInt(0, 1);
+                    m.markDirtyRange(gpa, len);
+                    r.markDirtyRange(gpa, len);
+                }
+                break;
+            case 5:
+                ASSERT_EQ(m.drainDirty(), r.drain());
+                break;
+            case 6: {
+                pci::Rid rid = kRids[rng.uniformInt(0, std::size(kRids) - 1)];
+                if (rng.uniformInt(0, 2) == 0) {
+                    iommu.detach(rid);
+                    ref_ctx.erase(rid);
+                } else {
+                    iommu.attach(rid, m);    // attach or re-attach
+                    ref_ctx[rid] = d;
+                }
+                break;
+            }
+            default: {
+                pci::Rid rid = kRids[rng.uniformInt(0, std::size(kRids) - 1)];
+                bool w = rng.uniformInt(0, 1) == 0;
+                Iommu::Result got, want;
+                if (rng.uniformInt(0, 4) == 0) {
+                    Addr len = rng.uniformInt(0, 4) * kPageSize;
+                    got = iommu.translateRange(rid, gpa, len, w);
+                    // The reference range walk: first fault, else
+                    // the first page's result.
+                    Iommu::Result first{};
+                    bool faulted = false;
+                    for (Addr off = 0; off < len && !faulted;
+                         off += kPageSize) {
+                        Iommu::Result x = refTranslate(rid, gpa + off, w);
+                        if (!x.ok()) {
+                            first = x;
+                            faulted = true;
+                        } else if (off == 0) {
+                            first = x;
+                        }
+                    }
+                    want = len == 0 ? refTranslate(rid, gpa, w) : first;
+                } else {
+                    got = iommu.translate(rid, gpa, w);
+                    want = refTranslate(rid, gpa, w);
+                }
+                ASSERT_EQ(got.fault, want.fault) << "step " << step;
+                ASSERT_EQ(got.mpa, want.mpa) << "step " << step;
+                break;
+            }
+            }
+            ASSERT_EQ(iommu.faults().value(), ref_faults);
+            ASSERT_EQ(iommu.translations().value(), ref_xlates);
+            for (pci::Rid rid : kRids) {
+                auto c = ref_ctx.find(rid);
+                ASSERT_EQ(iommu.domainOf(rid),
+                          c == ref_ctx.end() ? nullptr
+                                             : maps[c->second].get());
+            }
+            ASSERT_EQ(m.mappedPages(), r.pages.size());
+            ASSERT_EQ(m.dirtyPageCount(), r.dirty.size());
+            ASSERT_EQ(m.dirtyLogEnabled(), r.log);
+        }
+        // Final full sweep of every page either side touched.
+        for (int d = 0; d < kDomains; ++d) {
+            for (const auto &[page, e] : ref[d].pages) {
+                ASSERT_EQ(maps[d]->translate(page * kPageSize),
+                          e.mpa_page * kPageSize);
+                ASSERT_EQ(maps[d]->writable(page * kPageSize), e.writable);
+            }
+            ASSERT_EQ(maps[d]->drainDirty(), ref[d].drain());
+        }
+    }
+}
+
+TEST(GuestPhysMap, TopOfTheAddressSpaceMapsWithOneLeaf)
+{
+    // The last page below 2^39 maps with a single 4 KiB leaf; the
+    // directory grows to 2^18 slots (2 MiB), not gigabytes.
+    GuestPhysMap m("g");
+    const Addr top = (Addr(1) << GuestPhysMap::kGpaBits) - kPageSize;
+    m.mapRange(top, 0x7000, kPageSize);
+    EXPECT_EQ(m.translate(top + 0x10), 0x7010u);
+    EXPECT_EQ(m.leafTables(), 1u);
+    EXPECT_EQ(m.mappedPages(), 1u);
+    m.mapRange(0, 0x9000, 3 * kPageSize);
+    EXPECT_EQ(m.leafTables(), 2u);
+}
+
+TEST(GuestPhysMapDeathTest, FarGpaIsFatalWithTheAddress)
+{
+    GuestPhysMap m("far");
+    EXPECT_DEATH(m.mapRange(Addr(1) << 47, 0x1000, kPageSize),
+                 "far: guest-physical address 0x800000000000 is beyond");
+    EXPECT_DEATH(m.mapRange(Addr(1) << GuestPhysMap::kGpaBits, 0x1000,
+                            kPageSize),
+                 "0x8000000000 is beyond the 39-bit");
+    m.enableDirtyLog();
+    EXPECT_DEATH(m.markDirty(Addr(1) << 47), "0x800000000000");
+    // Out-of-range lookups are plain misses, not faults of the model.
+    EXPECT_FALSE(m.translate(Addr(1) << 47).has_value());
+    m.unmapRange(Addr(1) << 47, kPageSize);
+    EXPECT_EQ(m.mappedPages(), 0u);
 }
 
 TEST(DmaEngine, ServiceTimeMatchesLinkRate)

@@ -8,10 +8,12 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <iterator>
 #include <map>
 #include <memory>
 #include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -92,6 +94,82 @@ TEST(Time, ToStringPicksUnits)
     EXPECT_EQ(Time::ms(3).toString(), "3ms");
     EXPECT_EQ(Time::us(7).toString(), "7us");
     EXPECT_EQ(Time::ns(9).toString(), "9ns");
+}
+
+// ---------------------------------------------------------------------------
+// Inline rounding: Time's constructors must equal std::llround bit for bit.
+
+namespace {
+
+std::int64_t
+libmRound(double v)
+{
+    return std::int64_t(std::llround(v));
+}
+
+} // namespace
+
+TEST(TimeRounding, EdgeValuesMatchLlround)
+{
+    const double edges[] = {
+        0.0, -0.0, 0.5, -0.5, 1.5, -1.5, 2.5, -2.5, 1e-300, -1e-300,
+        0.49999999999999994, -0.49999999999999994,
+        std::nextafter(0.5, 1.0), std::nextafter(-0.5, -1.0),
+        // Around 2^52, where the spacing reaches 1 (no fraction left).
+        0x1p52, -0x1p52, 0x1p52 - 0.5, -(0x1p52 - 0.5), 0x1p52 - 1.5,
+        0x1p52 + 1, std::nextafter(0x1p52, 0.0),
+        0x1p51 + 0.5, -(0x1p51 + 0.5), 0x1p51 + 1.5,
+        // Around 2^53, where the spacing reaches 2.
+        0x1p53, -0x1p53, 0x1p53 + 2, std::nextafter(0x1p53, 0.0),
+        std::nextafter(0x1p53, 0x1p54),
+        // The extremes of the inline path: the largest double below
+        // 2^63 (Time's largest representable span) and -2^63.
+        std::nextafter(0x1p63, 0.0), -0x1p63,
+        std::nextafter(-0x1p63, 0.0),
+    };
+    for (double v : edges)
+        EXPECT_EQ(Time::roundPs(v), libmRound(v)) << std::hexfloat << v;
+    EXPECT_EQ(Time::roundPs(0.49999999999999994), 0);
+    EXPECT_EQ(Time::roundPs(2.5), 3);
+    EXPECT_EQ(Time::roundPs(-2.5), -3);
+    EXPECT_EQ(Time::roundPs(std::nextafter(0x1p63, 0.0)),
+              std::int64_t(0x7ffffffffffffc00));
+    // Past the int64 range the inline path hands over to libm, whose
+    // result it returns unchanged.
+    EXPECT_EQ(Time::roundPs(0x1p63), libmRound(0x1p63));
+    EXPECT_EQ(Time::roundPs(-0x1p64), libmRound(-0x1p64));
+}
+
+TEST(TimeRounding, RandomInputsMatchLlround)
+{
+    Random rng(0x5eed);
+    for (int i = 0; i < 200000; ++i) {
+        // Random magnitudes from 2^-4 to 2^62 and random mantissas,
+        // plus values snapped to exact halves.
+        double mag = std::ldexp(1.0, int(rng.uniformInt(0, 66)) - 4);
+        double v = mag * (rng.uniform() + 1.0);
+        if (i % 4 == 1)
+            v = std::floor(v) + 0.5;
+        if (rng.uniformInt(0, 1) != 0)
+            v = -v;
+        ASSERT_EQ(Time::roundPs(v), libmRound(v)) << std::hexfloat << v;
+    }
+}
+
+TEST(TimeRounding, ConstructorsMatchLlroundOfTheSameExpression)
+{
+    Random rng(7);
+    for (int i = 0; i < 50000; ++i) {
+        double a = rng.uniform() * std::ldexp(1.0, int(rng.uniformInt(0, 40)));
+        double b = 1e3 + rng.uniform() * 1e10;
+        ASSERT_EQ(Time::cycles(a, b).picos(), libmRound(a / b * 1e12));
+        ASSERT_EQ(Time::transfer(a, b).picos(), libmRound(a / b * 1e12));
+        ASSERT_EQ(Time::seconds(a / b).picos(),
+                  libmRound(a / b * 1e12));
+    }
+    // A 1.5 ps service at 1 Hz: an exact half, rounded away from zero.
+    EXPECT_EQ(Time::cycles(1.5e-12, 1.0).picos(),
+              libmRound(1.5e-12 / 1.0 * 1e12));
 }
 
 TEST(EventQueue, RunsInTimeOrder)
@@ -296,6 +374,102 @@ TEST(CpuServer, ChargeDoesNotDelayCompletion)
     EXPECT_TRUE(done);
     // Busy time reflects both, though.
     EXPECT_EQ(cpu.busyTime(), Time::sec(1) + Time::ns(10));
+}
+
+TEST(CpuServerTags, MixedWorkMatchesAStringKeyedReference)
+{
+    // Random submit()/charge() by name and by resolved handle, on two
+    // servers; the reference keys plain strings. Tags enter a snapshot
+    // on first charge or when submitted work starts service.
+    EventQueue eq;
+    CpuServer a(eq, "a", 1e9), b(eq, "b", 2.5e9);
+    const std::vector<std::string> names = {"vm0", "vm1", "xen",
+                                            "dom0-netback", "dom0-dm",
+                                            "vm12", ""};
+    std::vector<CpuServer::Tag> handles;
+    for (const auto &n : names)
+        handles.emplace_back(n);
+    std::map<std::string, double> ref_a, ref_b;
+    Random rng(99);
+    for (int i = 0; i < 4000; ++i) {
+        bool on_a = rng.uniformInt(0, 1) == 0;
+        CpuServer &cpu = on_a ? a : b;
+        auto &ref = on_a ? ref_a : ref_b;
+        std::size_t k = rng.uniformInt(0, names.size() - 1);
+        double cycles = double(rng.uniformInt(0, 5000));
+        bool by_handle = rng.uniformInt(0, 1) == 0;
+        if (rng.uniformInt(0, 2) == 0) {
+            if (by_handle)
+                cpu.submit(cycles, handles[k]);
+            else
+                cpu.submit(cycles, names[k]);
+        } else if (by_handle) {
+            cpu.charge(cycles, handles[k]);
+        } else {
+            cpu.charge(cycles, names[k]);
+        }
+        ref[names[k]] += cycles;
+        if (i % 97 == 0)
+            eq.runAll();
+    }
+    eq.runAll();
+    EXPECT_EQ(a.snapshot().cycles_by_tag, ref_a);
+    EXPECT_EQ(b.snapshot().cycles_by_tag, ref_b);
+    CpuSnapshot zero;
+    for (const auto &[name, cycles] : ref_a)
+        EXPECT_EQ(a.cyclesSince(zero, name), cycles) << name;
+}
+
+TEST(CpuServerTags, ReusedTemporaryBufferNamesADifferentTag)
+{
+    // The same buffer, rewritten in place, names two tags: whatever
+    // keys the table must be the content, not the pointer.
+    EventQueue eq;
+    CpuServer cpu(eq, "c0", 1e9);
+    std::string buf = "tmp-tag-number-one-long-enough-for-the-heap";
+    const char *addr = buf.data();
+    cpu.charge(10, std::string_view(buf));
+    CpuServer::Tag first(buf);
+    buf.replace(0, buf.size(), "tmp-tag-number-two-long-enough-for-the-heap");
+    ASSERT_EQ(buf.data(), addr);
+    cpu.charge(20, std::string_view(buf));
+    CpuServer::Tag second(buf);
+    EXPECT_NE(first, second);
+    EXPECT_EQ(first.name(), "tmp-tag-number-one-long-enough-for-the-heap");
+    cpu.charge(1, first);
+    auto snap = cpu.snapshot().cycles_by_tag;
+    ASSERT_EQ(snap.size(), 2u);
+    EXPECT_EQ(snap.at("tmp-tag-number-one-long-enough-for-the-heap"), 11.0);
+    EXPECT_EQ(snap.at("tmp-tag-number-two-long-enough-for-the-heap"), 20.0);
+
+    // Temporaries destroyed between resolutions: equal content, equal
+    // tag; different content, different tag.
+    auto make = [](const char *s) { return CpuServer::Tag(std::string(s)); };
+    EXPECT_EQ(make("tmp-a"), make("tmp-a"));
+    EXPECT_NE(make("tmp-a"), make("tmp-b"));
+}
+
+TEST(CpuServerTags, ResolvedButUnchargedTagStaysOutOfSnapshots)
+{
+    EventQueue eq;
+    CpuServer cpu(eq, "c0", 1e9);
+    CpuServer::Tag idle("resolved-never-charged");
+    CpuServer::Tag zero("charged-zero");
+    CpuServer::Tag queued("queued-behind-busy");
+    cpu.submit(100, "busy");
+    cpu.submit(5, queued);
+    cpu.charge(0, zero);
+    auto snap = cpu.snapshot().cycles_by_tag;
+    EXPECT_EQ(snap.count("resolved-never-charged"), 0u);
+    EXPECT_EQ(snap.count("queued-behind-busy"), 0u);    // not started yet
+    EXPECT_EQ(snap.at("charged-zero"), 0.0);
+    EXPECT_TRUE(cpu.hasWorkTagged(queued));
+    EXPECT_FALSE(cpu.hasWorkTagged(idle));
+    eq.runAll();
+    EXPECT_EQ(cpu.snapshot().cycles_by_tag.at("queued-behind-busy"), 5.0);
+    EXPECT_FALSE(cpu.hasWorkTagged(queued));
+    EXPECT_EQ(CpuServer::Tag::find("resolved-never-charged"), idle);
+    EXPECT_FALSE(CpuServer::Tag::find("never-resolved-anywhere"));
 }
 
 TEST(CpuServerDeathTest, NegativeWorkPanics)
@@ -792,7 +966,7 @@ struct ReferenceDigest
 
 TEST(EventQueue, DigestMatchesReferenceFnv1a)
 {
-    // Tags repeat (exercising the per-tag memo and its MRU slot),
+    // Tags repeat (exercising the per-tag memo and its index),
     // interleave, and include the empty tag; seq is assigned in
     // scheduling order, execution order is (when, seq).
     static const char *const kTags[] = {"wire.rx", "cpu", "", "wire.rx",
@@ -807,6 +981,30 @@ TEST(EventQueue, DigestMatchesReferenceFnv1a)
             eq.scheduleAt(when, []() {}, kTags[t]);
             ref.event(when, seq++, kTags[t]);
         }
+    eq.runAll();
+    EXPECT_EQ(eq.orderDigest(), ref.d);
+}
+
+TEST(EventQueue, DigestMatchesReferenceAcrossManyTags)
+{
+    // More distinct tags than the fold index's first size, so the
+    // index is rebuilt mid-run and probes past occupied cells.
+    std::vector<std::string> tags;
+    for (int i = 0; i < 300; ++i) {
+        std::string tag = "tag.";
+        tag += std::to_string(i * 7919 % 1000);
+        tags.push_back(tag);
+    }
+    EventQueue eq;
+    ReferenceDigest ref;
+    std::uint64_t seq = 1;
+    Random rng(3);
+    for (int i = 0; i < 5000; ++i) {
+        const char *tag = tags[rng.uniformInt(0, i < 100 ? 9 : 299)].c_str();
+        Time when = Time::ns(i);
+        eq.scheduleAt(when, []() {}, tag);
+        ref.event(when, seq++, tag);
+    }
     eq.runAll();
     EXPECT_EQ(eq.orderDigest(), ref.d);
 }
